@@ -23,8 +23,10 @@ type Topology interface {
 	// NumServers returns the number of servers (|S|).
 	NumServers() int
 	// ClientDegree returns |N(v)| for client v (parallel edges counted
-	// with multiplicity). Implicit implementations may take O(Δ) to
-	// answer; hot paths should use AppendClientNeighbors and len().
+	// with multiplicity). The CSR Graph and every gen.Implicit family
+	// answer in O(1) (implicit families record degrees at construction);
+	// the engines' point-query and prefix draws rely on that, as the
+	// PointQueryable and PrefixQueryable contracts state.
 	ClientDegree(v int) int
 	// MaxClientDegree returns max_v |N(v)|. It is used to size
 	// neighborhood scratch buffers once per run, so an O(n) computation
@@ -85,14 +87,38 @@ type PointQueryable interface {
 // interface and currently answers point queries, and nil otherwise. It
 // is the single entry point the engines use, so the "implements but
 // temporarily non-queryable" state (churn under failures) and the
-// "never implements" state (Erdős–Rényi skip-sampling) collapse into
-// the same row-regeneration fallback.
+// "never queryable" state (Erdős–Rényi skip-sampling) collapse into the
+// same row-regenerating fallback (whole rows, or row prefixes for a
+// PrefixQueryable topology).
 func PointQuerier(t Topology) PointQueryable {
 	pq, ok := t.(PointQueryable)
 	if !ok || !pq.CanPointQuery() {
 		return nil
 	}
 	return pq
+}
+
+// PrefixQueryable is implemented by topologies that can regenerate the
+// leading entries of a row without producing the rest of it — the
+// sequential samplers whose entry i cannot be point-queried
+// (gen.ErdosRenyiImplicit's skip walk). The contract:
+// AppendClientNeighborsPrefix(v, k, buf) equals
+// AppendClientNeighbors(v, buf)[:len(buf)+k] for every client v and every
+// 0 <= k <= ClientDegree(v), and ClientDegree answers in O(1). A client
+// placing a balls first draws all a indices, then regenerates only the
+// prefix up to the largest one: the same draws as the whole-row path at
+// about a/(a+1) of its row work (see internal/core's draw kernel).
+// Point queries, where available, are cheaper still, so the engines use
+// this interface only for topologies that do not answer them.
+//
+// Implementations must be safe for concurrent readers, like the rest of
+// Topology.
+type PrefixQueryable interface {
+	Topology
+	// AppendClientNeighborsPrefix appends the first k entries of client
+	// v's neighbor row to buf and returns the extended slice. Behavior
+	// is undefined when k > ClientDegree(v).
+	AppendClientNeighborsPrefix(v, k int, buf []int32) []int32
 }
 
 // Versioned is implemented by mutable topologies whose adjacency can be

@@ -35,14 +35,11 @@ type Driver struct {
 	cfg  Config
 	bank ServerBank
 
-	csr     *bipartite.Graph
-	nbrBufs [][]int32 // per-worker neighborhood scratch (implicit topologies)
-	// pq mirrors Runner.pq: the point-query view used by phaseClients to
-	// draw ball destinations in O(1) instead of regenerating rows. Nil on
-	// the CSR path or when the topology cannot answer point queries;
-	// re-derived per Run (reset), since the wire executor reuses one
-	// Driver across mutating churn epochs whose queryability can flip.
-	pq bipartite.PointQueryable
+	// draws is the per-client draw kernel shared with the Runner. Its
+	// point-query view is re-derived per Run (reset), since the wire
+	// executor reuses one Driver across mutating churn epochs whose
+	// queryability can flip. The Driver keeps no row cache.
+	draws drawKernel
 
 	capacity int32
 	d        int
@@ -157,13 +154,7 @@ func NewDriver(topo bipartite.Topology, cfg Config, bank ServerBank) (*Driver, e
 	d.tally = engine.NewTally(pool, m)
 	d.tally.BeginStamped()
 	d.shardTouched = make([][]int32, d.router.Shards())
-	d.csr, _ = topo.(*bipartite.Graph)
-	if d.csr == nil {
-		d.nbrBufs = make([][]int32, workers)
-		for w := range d.nbrBufs {
-			d.nbrBufs[w] = make([]int32, 0, topo.MaxClientDegree())
-		}
-	}
+	d.draws.bind(topo, workers)
 	if cfg.TrackNeighborhoods {
 		d.cumNbrReceived = make([]int64, n)
 		d.partialFrac = make([]float64, workers)
@@ -195,16 +186,6 @@ func (dr *Driver) SetObserver(obs RoundObserver) { dr.observer = obs }
 
 // Reseed sets the protocol seed of the next Run.
 func (dr *Driver) Reseed(seed uint64) { dr.cfg.Seed = seed }
-
-// neighbors returns client v's neighborhood: zero-copy from a CSR graph,
-// regenerated into worker w's scratch buffer otherwise.
-func (dr *Driver) neighbors(w, v int) []int32 {
-	if dr.csr != nil {
-		return dr.csr.ClientNeighbors(v)
-	}
-	dr.nbrBufs[w] = dr.topo.AppendClientNeighbors(v, dr.nbrBufs[w][:0])
-	return dr.nbrBufs[w]
-}
 
 // reset rebuilds all client-side per-run state and Resets the bank, so
 // every Run is independent: a wire server process that was killed and
@@ -241,10 +222,7 @@ func (dr *Driver) reset() (aliveTotal int64, err error) {
 	}
 	dr.router.Discard()
 	dr.tally.FullReset(dr.pool)
-	dr.pq = nil
-	if dr.csr == nil {
-		dr.pq = bipartite.PointQuerier(dr.topo)
-	}
+	dr.draws.refresh()
 	rng.ReseedStreamSlice(dr.streams, dr.cfg.Seed)
 	return aliveTotal, dr.bank.Reset(dr.cfg.InitialLoads)
 }
@@ -342,13 +320,13 @@ func (dr *Driver) Run() (*Result, error) {
 	return res, nil
 }
 
-// phaseClients draws this round's destinations for every alive ball —
-// the identical per-client stream reads, in the identical per-client
-// order, as Runner.clientStep — and routes them into the per-(worker,
-// shard) lanes. The frontier is walked by the work-stealing scheduler;
-// each client's draws depend only on its private stream, so the routed
-// multiset is independent of the chunk-to-worker schedule. Returns the
-// number of requests submitted.
+// phaseClients draws this round's destinations for every alive ball
+// through the draw kernel the Runner uses — the identical per-client
+// stream reads, in the identical per-client order — and routes them into
+// the per-(worker, shard) lanes. The frontier is walked by the
+// work-stealing scheduler; each client's draws depend only on its
+// private stream, so the routed multiset is independent of the
+// chunk-to-worker schedule. Returns the number of requests submitted.
 func (dr *Driver) phaseClients() int64 {
 	dr.router.ResetLanes()
 	dr.tally.StampedReset()
@@ -359,32 +337,11 @@ func (dr *Driver) phaseClients() int64 {
 		var sent int64
 		for _, vv := range dr.frontier[lo:hi] {
 			v := int(vv)
-			a := dr.alive[v]
-			src := &dr.streams[v]
 			base := v * dr.d
-			if pq := dr.pq; pq != nil {
-				// Point-query path: one O(1) NeighborAt per ball instead
-				// of a Θ(Δ) row regeneration — same Intn sequence, same
-				// choices, bit-for-bit the row path's batch.
-				deg := pq.ClientDegree(v)
-				for i := int32(0); i < a; i++ {
-					u := pq.NeighborAt(v, src.Intn(deg))
-					dr.choices[base+int(i)] = u
-					s := int(u) >> shift
-					lanes[s] = append(lanes[s], u)
-				}
-				sent += int64(a)
-				continue
-			}
-			nbrs := dr.neighbors(w, v)
-			deg := len(nbrs)
-			for i := int32(0); i < a; i++ {
-				u := nbrs[src.Intn(deg)]
-				dr.choices[base+int(i)] = u
-				s := int(u) >> shift
-				lanes[s] = append(lanes[s], u)
-			}
-			sent += int64(a)
+			out := dr.choices[base : base+int(dr.alive[v])]
+			dr.draws.draw(w, v, &dr.streams[v], out)
+			routeToLanes(lanes, shift, out)
+			sent += int64(len(out))
 		}
 		dr.partialSent[w] += sent
 	})
@@ -501,7 +458,7 @@ func (dr *Driver) neighborhoodStats() (maxBurnedFrac float64, maxReceived int, m
 	dr.pool.StealRange(n, func(w, _, lo, hi int) {
 		frac, recv, kt := dr.partialFrac[w], dr.partialRecv[w], dr.partialKt[w]
 		for v := lo; v < hi; v++ {
-			nbrs := dr.neighbors(w, v)
+			nbrs := dr.draws.row(w, v)
 			if len(nbrs) == 0 {
 				continue
 			}
@@ -546,7 +503,7 @@ func (dr *Driver) neighborhoodStats() (maxBurnedFrac float64, maxReceived int, m
 func (dr *Driver) hasStarvedClient() bool {
 	for _, vv := range dr.frontier {
 		starved := true
-		for _, u := range dr.neighbors(0, int(vv)) {
+		for _, u := range dr.draws.row(0, int(vv)) {
 			if !dr.burned[u] {
 				starved = false
 				break

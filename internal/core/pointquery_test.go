@@ -8,11 +8,13 @@ import (
 	"repro/internal/gen"
 )
 
-// rowOnly hides a topology's point-query (and version) support, forcing
-// the engines onto the whole-row regeneration path — the baseline the
-// point-query equivalence cases and BenchmarkPointQueryDraw compare
-// against, and the way the row-cache tests keep exercising the cache
-// now that point-queryable families skip it. Only wrap implicit
+// rowOnly hides a topology's point-query, prefix-query (and version)
+// support — embedding the bare Topology interface promotes nothing else
+// — forcing the engines onto the whole-row regeneration path: the
+// baseline the point-query and prefix equivalence cases and
+// BenchmarkPointQueryDraw compare against, and the way the row-cache
+// tests keep exercising the cache now that point-queryable families skip
+// it. Only wrap implicit
 // topologies: a wrapped *Graph would lose the engines' zero-copy
 // special case but keep the aliasing AppendClientNeighbors, violating
 // the feedback-buffer contract.

@@ -80,32 +80,21 @@ type Runner struct {
 	params  Params
 	opts    Options
 
-	// csr is non-nil when topo is a materialized CSR graph, in which case
-	// neighborhoods are read zero-copy from its edge arrays. Otherwise
-	// (implicit/regenerative topologies) rows are regenerated on demand
-	// into the per-worker nbrBuf scratch buffers — or read from rowCache
-	// once the late-round frontier has shrunk enough to pin the survivors'
-	// rows (see beginRound).
-	csr    *bipartite.Graph
-	nbrBuf [][]int32
+	// draws is the per-client draw kernel (see drawKernel): it reads
+	// neighbors zero-copy from a CSR graph, point-wise or prefix-wise
+	// from an implicit topology that supports it, and otherwise from
+	// regenerated rows — or from rowCache once the late-round frontier
+	// has shrunk enough to pin the survivors' rows (see beginRound).
+	// maxDeg is the topology's largest client degree (implicit
+	// topologies only), which sizes the cache budget.
+	draws  drawKernel
 	maxDeg int
 
-	// pq is the topology's point-query view (bipartite.PointQueryable)
-	// when rows would otherwise be regenerated: the client phases draw
-	// each ball's destination as one NeighborAt lookup instead of
-	// regenerating the whole Θ(Δ) row — same Intn draw sequence, same
-	// choices layout, so results are bit-for-bit identical to the row
-	// path. Nil on the CSR fast path (rows are already zero-copy reads)
-	// and for non-queryable topologies (Erdős–Rényi, churn under
-	// failures); re-derived whenever the topology version moves, since
-	// churn mutations can flip queryability.
-	pq bipartite.PointQueryable
-
-	// rowCache holds the frontier row cache for implicit topologies;
-	// rowCacheBuilt records whether the current run has snapshotted its
-	// frontier into it (at most once per run — the frontier only shrinks).
-	rowCache      *bipartite.RowCache
-	rowCacheBuilt bool
+	// rowCache holds the frontier row cache for row-regenerating
+	// topologies. The current run has snapshotted its frontier into it
+	// (at most once per run — the frontier only shrinks) iff the draw
+	// kernel holds it (rowCacheBuilt).
+	rowCache *bipartite.RowCache
 
 	// versioned is non-nil when topo is mutable (bipartite.Versioned);
 	// topoVersion is the version the Runner's caches were last synced to.
@@ -287,24 +276,13 @@ func NewRunner(topo bipartite.Topology, variant Variant, p Params, opts Options)
 // neighborhood scratch buffers otherwise.
 func (r *Runner) bindTopology(topo bipartite.Topology) {
 	r.topo = topo
-	r.csr, _ = topo.(*bipartite.Graph)
-	r.pq = nil
-	if r.csr == nil {
+	r.draws.bind(topo, r.pool.Workers())
+	if r.draws.csr == nil {
 		r.maxDeg = topo.MaxClientDegree()
-		if r.nbrBuf == nil {
-			r.nbrBuf = make([][]int32, r.pool.Workers())
-			for w := range r.nbrBuf {
-				r.nbrBuf[w] = make([]int32, 0, r.maxDeg)
-			}
-		}
-		r.pq = bipartite.PointQuerier(topo)
 	}
 	// A swapped topology regenerates different rows, so any cached
 	// frontier rows are stale.
-	if r.rowCache != nil {
-		r.rowCache.Invalidate()
-	}
-	r.rowCacheBuilt = false
+	r.dropRowCache()
 	r.versioned, _ = topo.(bipartite.Versioned)
 	if r.versioned != nil {
 		r.topoVersion = r.versioned.TopologyVersion()
@@ -349,23 +327,16 @@ func (r *Runner) PatchTopology() error {
 	return nil
 }
 
-// neighbors returns client v's neighborhood for use by worker. On the CSR
-// fast path it aliases the graph's edge arrays; on the implicit path it
-// reads the late-round row cache when v's row is pinned there, and
-// otherwise regenerates the row into the worker's scratch buffer, which
-// stays valid until the worker's next call.
-func (r *Runner) neighbors(worker, v int) []int32 {
-	if r.csr != nil {
-		return r.csr.ClientNeighbors(v)
+// rowCacheBuilt reports whether the current run has a live frontier row
+// snapshot.
+func (r *Runner) rowCacheBuilt() bool { return r.draws.cache != nil }
+
+// dropRowCache discards the frontier row snapshot, if any.
+func (r *Runner) dropRowCache() {
+	if r.rowCache != nil {
+		r.rowCache.Invalidate()
 	}
-	if r.rowCacheBuilt {
-		if row, ok := r.rowCache.CachedRow(v); ok {
-			return row
-		}
-	}
-	buf := r.topo.AppendClientNeighbors(v, r.nbrBuf[worker][:0])
-	r.nbrBuf[worker] = buf
-	return buf
+	r.draws.cache = nil
 }
 
 // parallel runs fn over [0, n) on the scheduler the run is configured
@@ -459,10 +430,7 @@ func (r *Runner) resetState() {
 		if r.router != nil {
 			r.router.Discard()
 		}
-		if r.rowCache != nil {
-			r.rowCache.Invalidate()
-		}
-		r.rowCacheBuilt = false
+		r.dropRowCache()
 	}
 	if r.opts.InitialLoads != nil {
 		for i, l := range r.opts.InitialLoads {
@@ -511,13 +479,10 @@ func (r *Runner) beginRound() {
 			// Mutations can flip point-queryability (churn failures make
 			// rows read-time filtered, recoveries make them queryable
 			// again), so the point-query view is version-keyed too.
-			if r.csr == nil {
-				r.pq = bipartite.PointQuerier(r.topo)
-			}
+			r.draws.refresh()
 		}
-		if r.rowCacheBuilt && !r.rowCache.ValidFor(r.topoVersion) {
-			r.rowCache.Invalidate()
-			r.rowCacheBuilt = false
+		if r.rowCacheBuilt() && !r.rowCache.ValidFor(r.topoVersion) {
+			r.dropRowCache()
 		}
 	}
 	r.roundEpoch++
@@ -546,14 +511,15 @@ func (r *Runner) beginRound() {
 		}
 	}
 	// Late-round frontier row cache: on implicit topologies whose draws
-	// regenerate whole rows, once the sparse frontier's worst-case row
-	// footprint fits the budget, snapshot the survivors' regenerated
-	// rows so the remaining rounds read them instead of resampling. One
-	// snapshot per run suffices: the frontier only shrinks, so every
-	// later survivor is already cached. Point-queryable topologies skip
-	// the snapshot — their draws never touch rows, so pinning them would
-	// be pure cost (the occasional whole-row consumers regenerate).
-	if r.sparse && r.csr == nil && r.pq == nil && !r.rowCacheBuilt &&
+	// regenerate rows (whole or prefix), once the sparse frontier's
+	// worst-case row footprint fits the budget, snapshot the survivors'
+	// regenerated rows so the remaining rounds read them instead of
+	// resampling. One snapshot per run suffices: the frontier only
+	// shrinks, so every later survivor is already cached. Point-queryable
+	// topologies skip the snapshot — their draws never touch rows, so
+	// pinning them would be pure cost (the occasional whole-row consumers
+	// regenerate).
+	if r.sparse && r.draws.regenerates() && !r.rowCacheBuilt() &&
 		len(r.frontier)*r.maxDeg <= rowCacheEdgeBudget(r.topo.NumClients()) {
 		if r.rowCache == nil {
 			r.rowCache = bipartite.NewRowCache(r.topo.NumClients())
@@ -563,7 +529,7 @@ func (r *Runner) beginRound() {
 		}
 		r.rowCache.Cache(r.topo, r.frontier)
 		r.rowCache.SetVersion(r.topoVersion)
-		r.rowCacheBuilt = true
+		r.draws.cache = r.rowCache
 	}
 }
 
@@ -714,83 +680,50 @@ func (r *Runner) Run() *Result {
 }
 
 // clientStep draws this round's destinations for client v's alive balls
-// into the choices buffer and counts them into the worker's tally. It is
-// the shared inner loop of the dense and sparse client phases; the only
-// difference between the paths is how v is enumerated.
+// and counts them into the worker's tally: the dense local counts when
+// denseLocal is set, the sparse SPA otherwise. It is the shared inner
+// loop of the unrouted client phases; the only difference between them
+// is how v is enumerated.
 func (r *Runner) clientStep(worker, v int, denseLocal []int32) int64 {
-	a := r.alive[v]
-	src := &r.streams[v]
-	base := v * r.d
-	if pq := r.pq; pq != nil {
-		// Point-query path: draw each ball's destination as one O(1)
-		// NeighborAt lookup instead of regenerating the Θ(Δ) row. The
-		// Intn draw sequence and the choices layout are identical to the
-		// row path, and NeighborAt(v, i) equals row[i] by contract, so
-		// results are bit-for-bit unchanged.
-		deg := pq.ClientDegree(v)
-		if denseLocal != nil {
-			for i := int32(0); i < a; i++ {
-				u := pq.NeighborAt(v, src.Intn(deg))
-				r.choices[base+int(i)] = u
-				denseLocal[u]++
-			}
-		} else {
-			for i := int32(0); i < a; i++ {
-				u := pq.NeighborAt(v, src.Intn(deg))
-				r.choices[base+int(i)] = u
-				r.tally.SparseAdd(worker, u)
-			}
-		}
-		return int64(a)
-	}
-	nbrs := r.neighbors(worker, v)
-	deg := len(nbrs)
+	out := r.drawClient(worker, v)
 	if denseLocal != nil {
-		for i := int32(0); i < a; i++ {
-			u := nbrs[src.Intn(deg)]
-			r.choices[base+int(i)] = u
+		for _, u := range out {
 			denseLocal[u]++
 		}
 	} else {
-		for i := int32(0); i < a; i++ {
-			u := nbrs[src.Intn(deg)]
-			r.choices[base+int(i)] = u
+		for _, u := range out {
 			r.tally.SparseAdd(worker, u)
 		}
 	}
-	return int64(a)
+	return int64(len(out))
 }
 
-// clientStepRoute is clientStep's counterpart for the sharded dense
-// pipeline: destinations are drawn identically (same per-client stream,
-// same choices layout) but instead of bumping a tally they are routed to
-// the owning server shard's lane, to be counted by the shard's phase-B
-// owner.
+// clientStepRoute is clientStep's counterpart for the sharded pipeline:
+// destinations are drawn identically but, instead of bumping a tally,
+// routed to the owning server shard's lane, to be counted by the shard's
+// phase-B owner.
 func (r *Runner) clientStepRoute(worker, v int, lanes [][]int32, shift uint) int64 {
-	a := r.alive[v]
-	src := &r.streams[v]
-	base := v * r.d
-	if pq := r.pq; pq != nil {
-		// Point-query path, as in clientStep: same draws, same choices,
-		// destinations routed to lanes instead of tallied.
-		deg := pq.ClientDegree(v)
-		for i := int32(0); i < a; i++ {
-			u := pq.NeighborAt(v, src.Intn(deg))
-			r.choices[base+int(i)] = u
-			s := int(u) >> shift
-			lanes[s] = append(lanes[s], u)
-		}
-		return int64(a)
-	}
-	nbrs := r.neighbors(worker, v)
-	deg := len(nbrs)
-	for i := int32(0); i < a; i++ {
-		u := nbrs[src.Intn(deg)]
-		r.choices[base+int(i)] = u
+	out := r.drawClient(worker, v)
+	routeToLanes(lanes, shift, out)
+	return int64(len(out))
+}
+
+// routeToLanes appends each destination to the lane of the server shard
+// that owns it (shard = server >> shift).
+func routeToLanes(lanes [][]int32, shift uint, dests []int32) {
+	for _, u := range dests {
 		s := int(u) >> shift
 		lanes[s] = append(lanes[s], u)
 	}
-	return int64(a)
+}
+
+// drawClient draws client v's alive balls through the draw kernel into
+// v's choices slots and returns them.
+func (r *Runner) drawClient(worker, v int) []int32 {
+	base := v * r.d
+	out := r.choices[base : base+int(r.alive[v])]
+	r.draws.draw(worker, v, &r.streams[v], out)
+	return out
 }
 
 // phaseClients is phase 1: every client with alive balls draws a uniform
@@ -1098,7 +1031,7 @@ func (r *Runner) neighborhoodStats() (maxBurnedFrac float64, maxReceived int, ma
 	r.pool.ParallelRange(n, func(worker, lo, hi int) {
 		p := partial{}
 		for v := lo; v < hi; v++ {
-			nbrs := r.neighbors(worker, v)
+			nbrs := r.draws.row(worker, v)
 			if len(nbrs) == 0 {
 				continue
 			}
@@ -1145,7 +1078,7 @@ func (r *Runner) neighborhoodStats() (maxBurnedFrac float64, maxReceived int, ma
 // that can be starved.
 func (r *Runner) hasStarvedClient() bool {
 	starvedAt := func(worker, v int) int64 {
-		for _, u := range r.neighbors(worker, v) {
+		for _, u := range r.draws.row(worker, v) {
 			if !r.burned[u] {
 				return 0
 			}

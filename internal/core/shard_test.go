@@ -131,7 +131,7 @@ func TestShardedRowCacheMemoryGuard(t *testing.T) {
 		seed := 9 + trial
 		r.Reseed(seed)
 		res := r.Run()
-		if !r.rowCacheBuilt {
+		if !r.rowCacheBuilt() {
 			t.Fatalf("trial %d: run never activated the frontier row cache (rounds=%d)", trial, res.Rounds)
 		}
 		budget := rowCacheEdgeBudget(n)
@@ -177,7 +177,7 @@ func TestRowCacheInvalidatedOnSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Run()
-	if !r.rowCacheBuilt {
+	if !r.rowCacheBuilt() {
 		t.Fatal("setup broken: first run did not build the row cache")
 	}
 	if err := r.SwapTopology(rowOnly{second}); err != nil {

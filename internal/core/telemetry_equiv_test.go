@@ -2,8 +2,11 @@ package core
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/bipartite"
+	"repro/internal/gen"
 	"repro/internal/telemetry"
 )
 
@@ -146,5 +149,96 @@ func TestTelemetryEquivalenceRepeatedRuns(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters["saer_rounds_total"]; got != int64(totalRounds) {
 		t.Errorf("saer_rounds_total=%d after two trials, want %d", got, totalRounds)
+	}
+}
+
+// countingPrefix forwards a prefix-queryable topology and counts the
+// prefix regenerations the draw kernel asks it for.
+type countingPrefix struct {
+	bipartite.PrefixQueryable
+	prefixes atomic.Int64
+}
+
+func (c *countingPrefix) AppendClientNeighborsPrefix(v, k int, buf []int32) []int32 {
+	c.prefixes.Add(1)
+	return c.PrefixQueryable.AppendClientNeighborsPrefix(v, k, buf)
+}
+
+// TestTelemetryEquivalenceErdosRenyi repeats the contract on the
+// Erdős–Rényi skip-sampler, whose draws take the prefix path and, in the
+// long tail, the Runner's RowCache snapshot. Results must be bit-for-bit
+// identical instrumented vs not, and the row-cache counters must be
+// exact: the draw kernel consults the cache once per client visit while
+// a snapshot is live and regenerates a prefix only when it misses, so
+// hits plus prefix regenerations equals the client visits of the run —
+// which the dense engine, which never snapshots, counts as prefix
+// regenerations alone. Equivalently, hits + misses equals the visits made
+// while the snapshot was live. No whole-row consumer may read the cache
+// for the count to hold, so the cases track no neighborhoods and the
+// SAER case checks that its starvation check never ran.
+func TestTelemetryEquivalenceErdosRenyi(t *testing.T) {
+	er, err := gen.ErdosRenyiImplicit(2048, 2048, 0.04, true, 0x5EED)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{TrackRounds: true, TrackLoads: true, TrackAssignments: true}
+	for _, variant := range []Variant{SAER, RAES} {
+		p := Params{D: 2, C: 1.5, Seed: 0xFEED}
+		ref, err := Run(er, variant, p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if variant == SAER {
+			for _, rs := range ref.PerRound {
+				if rs.RequestsAccepted == 0 && rs.NewlyBurned == 0 {
+					t.Fatalf("setup broken: SAER round %d ran the starvation check", rs.Round)
+				}
+			}
+		}
+		visits := func() int64 {
+			topo := &countingPrefix{PrefixQueryable: er}
+			oo := opts
+			oo.Engine = EngineDense
+			if _, err := Run(topo, variant, p, oo); err != nil {
+				t.Fatal(err)
+			}
+			return topo.prefixes.Load()
+		}()
+		for _, mode := range []EngineMode{EngineDense, EngineSparse, EngineAuto} {
+			for _, workers := range []int{1, 3} {
+				for _, shards := range []int{0, 2} {
+					reg := telemetry.NewRegistry()
+					topo := &countingPrefix{PrefixQueryable: er}
+					pp := p
+					pp.Workers = workers
+					oo := opts
+					oo.Engine = mode
+					oo.Shards = shards
+					oo.Telemetry = reg
+					res, err := Run(topo, variant, pp, oo)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(normalizedResult(res), normalizedResult(ref)) {
+						t.Errorf("%s mode=%d workers=%d shards=%d: instrumented run diverges from un-instrumented reference",
+							variant, mode, workers, shards)
+					}
+					snap := reg.Snapshot()
+					hits := snap.Counters["saer_rowcache_hits_total"]
+					misses := snap.Counters["saer_rowcache_misses_total"]
+					if got := hits + topo.prefixes.Load(); got != visits {
+						t.Errorf("%s mode=%d workers=%d shards=%d: hits %d + prefix regenerations %d = %d, want %d client visits",
+							variant, mode, workers, shards, hits, topo.prefixes.Load(), got, visits)
+					}
+					if mode != EngineDense && hits == 0 {
+						t.Errorf("%s mode=%d workers=%d shards=%d: long tail never hit the row cache", variant, mode, workers, shards)
+					}
+					if misses != 0 {
+						t.Errorf("%s mode=%d workers=%d shards=%d: %d row-cache misses, want 0 (the snapshot covers every later frontier client)",
+							variant, mode, workers, shards, misses)
+					}
+				}
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package gen
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 
@@ -45,8 +46,13 @@ type Implicit struct {
 	// permutations (regular: row[i] = π_i(v); partial-shuffle families:
 	// row[i] = f_v(i)). Nil for families that can only produce rows
 	// sequentially (Erdős–Rényi skip-sampling), which then report
-	// CanPointQuery() == false and keep the row-regeneration path.
+	// CanPointQuery() == false and regenerate row prefixes instead.
 	at func(v, i int) int32
+	// prefix appends row(v)[:k] to buf, stopping the sampler after k
+	// entries. Set by the families without point queries (Erdős–Rényi),
+	// whose draws would otherwise regenerate the whole row; nil
+	// elsewhere.
+	prefix func(v, k int, buf []int32) []int32
 
 	// serverDegFn computes the exact per-server degree table for the
 	// families whose threshold prescriptions need measured server degrees
@@ -121,6 +127,19 @@ func (t *Implicit) CanPointQuery() bool { return t.at != nil }
 func (t *Implicit) NeighborAt(v, i int) int32 { return t.at(v, i) }
 
 var _ bipartite.PointQueryable = (*Implicit)(nil)
+
+// AppendClientNeighborsPrefix appends the first k entries of client v's
+// row to buf (see bipartite.PrefixQueryable): the Erdős–Rényi
+// skip-sampler stops its walk after k entries. The point-queryable
+// families, whose draws never ask for prefixes, truncate the whole row.
+func (t *Implicit) AppendClientNeighborsPrefix(v, k int, buf []int32) []int32 {
+	if t.prefix != nil {
+		return t.prefix(v, k, buf)
+	}
+	return t.row(v, buf)[:len(buf)+k]
+}
+
+var _ bipartite.PrefixQueryable = (*Implicit)(nil)
 
 // Materialize builds the CSR twin of the topology: the same edges in the
 // same per-client order, stored explicitly.
@@ -277,17 +296,33 @@ func RegularImplicit(n, delta int, seed uint64) (*Implicit, error) {
 // topology, its materialized twin, and the churn subsystem's
 // Erdős–Rényi rewiring sampler (internal/churn).
 func ErdosRenyiRow(s *rng.Stream, numServers int, p float64, ensure bool, buf []int32) []int32 {
+	return ErdosRenyiRowPrefix(s, numServers, p, ensure, math.MaxInt, buf)
+}
+
+// ErdosRenyiRowPrefix appends the first k entries of the row
+// ErdosRenyiRow would append from the same stream state: the skip walk
+// stops after k present servers, so a caller that needs only the leading
+// entries pays for those instead of the whole Θ(p·numServers) row. k must
+// not exceed the row's length; k <= 0 appends nothing. A walk that finds
+// no present server ran to the end of the row, so the ensure-clients
+// fallback edge is drawn from the same stream position as in the whole
+// row.
+func ErdosRenyiRowPrefix(s *rng.Stream, numServers int, p float64, ensure bool, k int, buf []int32) []int32 {
+	if k <= 0 {
+		return buf
+	}
 	start := len(buf)
 	if p >= 1 {
-		for u := 0; u < numServers; u++ {
+		for u := 0; u < numServers && len(buf)-start < k; u++ {
 			buf = append(buf, int32(u))
 		}
 		return buf
 	}
 	if p > 0 {
+		logq := math.Log(1 - p)
 		u := -1
-		for {
-			u += 1 + skipFromUniform(s.Float64(), p)
+		for len(buf)-start < k {
+			u += 1 + skipFromUniform(s.Float64(), logq)
 			if u >= numServers {
 				break
 			}
@@ -314,10 +349,11 @@ func ErdosRenyiImplicit(numClients, numServers int, p float64, ensureClients boo
 	if p < 0 || p > 1 {
 		return nil, fmt.Errorf("gen: ErdosRenyiImplicit requires p in [0,1], got %v", p)
 	}
-	row := func(v int, buf []int32) []int32 {
+	prefix := func(v, k int, buf []int32) []int32 {
 		s := rng.StreamAt(seed, v)
-		return ErdosRenyiRow(&s, numServers, p, ensureClients, buf)
+		return ErdosRenyiRowPrefix(&s, numServers, p, ensureClients, k, buf)
 	}
+	row := func(v int, buf []int32) []int32 { return prefix(v, math.MaxInt, buf) }
 	degrees := make([]int32, numClients)
 	minDeg, maxDeg := numServers+1, 0
 	scratch := make([]int32, 0, 64)
@@ -347,6 +383,7 @@ func ErdosRenyiImplicit(numClients, numServers int, p float64, ensureClients boo
 		maxDeg:     maxDeg,
 		degree:     func(v int) int { return int(degrees[v]) },
 		row:        row,
+		prefix:     prefix,
 	}, nil
 }
 

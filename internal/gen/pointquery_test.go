@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -37,7 +38,8 @@ func TestSampleAtMatchesSampleRow(t *testing.T) {
 // TestNeighborAtMatchesRow is the cross-family point-query property
 // suite: for every implicit family and every client, NeighborAt(v, i)
 // must equal AppendClientNeighbors(v, nil)[i] at every index i, and
-// ClientDegree must equal the row length. Families without point-query
+// ClientDegree must equal the row length (and the first k entries must
+// answer the prefix contract). Families without point-query
 // support (Erdős–Rényi) must report CanPointQuery() == false.
 func TestNeighborAtMatchesRow(t *testing.T) {
 	regular, err := RegularImplicit(257, 19, 0xABCD)
@@ -82,6 +84,10 @@ func TestNeighborAtMatchesRow(t *testing.T) {
 				if got := tc.topo.NeighborAt(v, i); got != want {
 					t.Fatalf("%s: NeighborAt(%d, %d) = %d, row[%d] = %d", tc.name, v, i, got, i, want)
 				}
+			}
+			// The prefix contract holds here too.
+			if k := len(row) / 2; !slices.Equal(tc.topo.AppendClientNeighborsPrefix(v, k, nil), row[:k]) {
+				t.Fatalf("%s: AppendClientNeighborsPrefix(%d, %d) is not the row's first %d entries", tc.name, v, k, k)
 			}
 		}
 	}

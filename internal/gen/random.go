@@ -21,6 +21,7 @@ func ErdosRenyi(numClients, numServers int, p float64, ensureClients bool, src *
 		return nil, fmt.Errorf("gen: ErdosRenyi requires p in [0,1], got %v", p)
 	}
 	b := bipartite.NewBuilder(numClients, numServers)
+	logq := math.Log(1 - p)
 	for v := 0; v < numClients; v++ {
 		degree := 0
 		if p >= 1 {
@@ -33,7 +34,7 @@ func ErdosRenyi(numClients, numServers int, p float64, ensureClients bool, src *
 			// the cost is proportional to the number of edges, not n².
 			u := -1
 			for {
-				gap := geometricSkip(src, p)
+				gap := geometricSkip(src, logq)
 				u += 1 + gap
 				if u >= numServers {
 					break
@@ -50,20 +51,24 @@ func ErdosRenyi(numClients, numServers int, p float64, ensureClients bool, src *
 }
 
 // geometricSkip returns the number of absent edges before the next present
-// one when each edge is present independently with probability p.
-func geometricSkip(src *rng.Source, p float64) int {
-	return skipFromUniform(src.Float64(), p)
+// one when each edge is present independently with probability p, given
+// logq = log(1−p).
+func geometricSkip(src *rng.Source, logq float64) int {
+	return skipFromUniform(src.Float64(), logq)
 }
 
 // skipFromUniform inverts the geometric CDF at the uniform sample u: the
 // number of absent edges before the next present one when each edge is
-// present independently with probability p. It is the skip-sampling core
+// present independently with probability p. The caller passes
+// logq = log(1−p), computed once per row rather than once per entry; the
+// quotient is the same IEEE division either way, so the skips are
+// bit-identical to recomputing the log here. It is the skip-sampling core
 // shared by the materialized and the implicit Erdős–Rényi generators.
-func skipFromUniform(u, p float64) int {
+func skipFromUniform(u, logq float64) int {
 	if u <= 0 {
 		u = math.SmallestNonzeroFloat64
 	}
-	skip := int(math.Floor(math.Log(u) / math.Log(1-p)))
+	skip := int(math.Floor(math.Log(u) / logq))
 	if skip < 0 {
 		skip = 0
 	}

@@ -213,6 +213,40 @@ func BenchmarkRowSamplers(b *testing.B) {
 	}
 }
 
+// BenchmarkErdosRenyiRow measures the Erdős–Rényi skip walk per row
+// entry at the benchmark's erdos-tail shape (n = 2¹⁶, p = 256/n): the
+// whole row, as the full-row draw path and the row cache regenerate it,
+// and the k = Δ/2 prefix a client's prefix draw regenerates on average
+// in the late rounds.
+func BenchmarkErdosRenyiRow(b *testing.B) {
+	const n = 1 << 16
+	topo, err := ErdosRenyiImplicit(n, n, 256.0/n, true, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		row  func(v int, buf []int32) []int32
+	}{
+		{"full", topo.AppendClientNeighbors},
+		{"prefix=delta/2", func(v int, buf []int32) []int32 {
+			return topo.AppendClientNeighborsPrefix(v, topo.ClientDegree(v)/2, buf)
+		}},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			buf := make([]int32, 0, topo.MaxClientDegree())
+			entries := 0
+			for i := 0; i < b.N; i++ {
+				buf = tc.row(i%n, buf[:0])
+				entries += len(buf)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(entries), "ns/entry")
+		})
+	}
+}
+
 // BenchmarkAlmostRegularImplicitRegen measures the per-row regeneration
 // cost of the almost-regular family's heavy clients, the rows whose
 // O(degree²) dup-scan previously kept the family materialized.
