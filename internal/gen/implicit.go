@@ -318,11 +318,10 @@ func ErdosRenyiRowPrefix(s *rng.Stream, numServers int, p float64, ensure bool, 
 		}
 		return buf
 	}
-	if p > 0 {
-		logq := math.Log(1 - p)
+	if w, walk := newSkipWalk(p); walk {
 		u := -1
 		for len(buf)-start < k {
-			u += 1 + skipFromUniform(s.Float64(), logq)
+			u += 1 + w.skip(s.Float64())
 			if u >= numServers {
 				break
 			}
@@ -346,7 +345,7 @@ func ErdosRenyiImplicit(numClients, numServers int, p float64, ensureClients boo
 	if numClients <= 0 || numServers <= 0 {
 		return nil, fmt.Errorf("gen: ErdosRenyiImplicit requires positive sides, got %d clients %d servers", numClients, numServers)
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return nil, fmt.Errorf("gen: ErdosRenyiImplicit requires p in [0,1], got %v", p)
 	}
 	prefix := func(v, k int, buf []int32) []int32 {

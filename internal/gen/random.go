@@ -17,11 +17,11 @@ func ErdosRenyi(numClients, numServers int, p float64, ensureClients bool, src *
 	if numClients <= 0 || numServers <= 0 {
 		return nil, fmt.Errorf("gen: ErdosRenyi requires positive sides, got %d clients %d servers", numClients, numServers)
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return nil, fmt.Errorf("gen: ErdosRenyi requires p in [0,1], got %v", p)
 	}
 	b := bipartite.NewBuilder(numClients, numServers)
-	logq := math.Log(1 - p)
+	w, walk := newSkipWalk(p)
 	for v := 0; v < numClients; v++ {
 		degree := 0
 		if p >= 1 {
@@ -29,13 +29,12 @@ func ErdosRenyi(numClients, numServers int, p float64, ensureClients bool, src *
 				b.AddEdge(v, u)
 			}
 			degree = numServers
-		} else if p > 0 {
+		} else if walk {
 			// Skip-sampling: jump geometric gaps between present edges so
 			// the cost is proportional to the number of edges, not n².
 			u := -1
 			for {
-				gap := geometricSkip(src, logq)
-				u += 1 + gap
+				u += 1 + w.skip(src.Float64())
 				if u >= numServers {
 					break
 				}
@@ -48,31 +47,6 @@ func ErdosRenyi(numClients, numServers int, p float64, ensureClients bool, src *
 		}
 	}
 	return b.Build(bipartite.KeepParallelEdges)
-}
-
-// geometricSkip returns the number of absent edges before the next present
-// one when each edge is present independently with probability p, given
-// logq = log(1−p).
-func geometricSkip(src *rng.Source, logq float64) int {
-	return skipFromUniform(src.Float64(), logq)
-}
-
-// skipFromUniform inverts the geometric CDF at the uniform sample u: the
-// number of absent edges before the next present one when each edge is
-// present independently with probability p. The caller passes
-// logq = log(1−p), computed once per row rather than once per entry; the
-// quotient is the same IEEE division either way, so the skips are
-// bit-identical to recomputing the log here. It is the skip-sampling core
-// shared by the materialized and the implicit Erdős–Rényi generators.
-func skipFromUniform(u, logq float64) int {
-	if u <= 0 {
-		u = math.SmallestNonzeroFloat64
-	}
-	skip := int(math.Floor(math.Log(u) / logq))
-	if skip < 0 {
-		skip = 0
-	}
-	return skip
 }
 
 // TrustSubset returns the graph in which every client independently trusts

@@ -247,6 +247,33 @@ func BenchmarkErdosRenyiRow(b *testing.B) {
 	}
 }
 
+// BenchmarkSkipFromUniform measures one skip of the Erdős–Rényi walk at
+// the benchmark's erdos-tail p = 256/2¹⁶: the exact
+// floor(math.Log(u)/logq) against the table-driven fast quotient with its
+// exact-floor guard, over the same stream uniforms.
+func BenchmarkSkipFromUniform(b *testing.B) {
+	w, _ := newSkipWalk(256.0 / (1 << 16))
+	src := rng.New(3)
+	us := make([]float64, 1<<12)
+	for i := range us {
+		us[i] = src.Float64()
+	}
+	sink := 0
+	b.Run("exact", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink += skipFromUniform(us[i&(len(us)-1)], w.logq)
+		}
+	})
+	b.Run("fast", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink += w.skip(us[i&(len(us)-1)])
+		}
+	})
+	if sink == 0 {
+		b.Fatal("every skip was 0")
+	}
+}
+
 // BenchmarkAlmostRegularImplicitRegen measures the per-row regeneration
 // cost of the almost-regular family's heavy clients, the rows whose
 // O(degree²) dup-scan previously kept the family materialized.
