@@ -1,15 +1,12 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // RoundDecision is a server bank's phase-2 answer for one round: which
 // servers accepted the round's requests, which newly burned, and how
-// many saturated (rejected while not burned). When the round's touched
-// list is sorted ascending — the Driver's contract — both output lists
-// are sorted ascending too.
+// many saturated (rejected while not burned). The round's touched list
+// is strictly ascending (the bank rejects any other), so both output
+// lists are strictly ascending subsequences of it.
 type RoundDecision struct {
 	// Accepted lists the servers that accepted this round's requests
 	// (SAER: received without exceeding the cumulative threshold; RAES:
@@ -46,9 +43,10 @@ type ServerBank interface {
 	Reset(initialLoads []int) error
 	// DecideRound applies the variant's threshold rule to one round's
 	// received batch: touched lists the servers that received requests
-	// this round, sorted ascending without duplicates, and counts[i] is
-	// the number of requests touched[i] received. Servers not listed
-	// received nothing and must not change state.
+	// this round, strictly ascending, and counts[i] > 0 is the number of
+	// requests touched[i] received. Servers not listed received nothing
+	// and must not change state. A batch that breaks this contract is
+	// rejected with an error; no in-process shard applies any of it.
 	DecideRound(touched, counts []int32) (RoundDecision, error)
 	// Loads returns the per-server accepted load vector (all servers).
 	Loads() ([]int32, error)
@@ -125,22 +123,48 @@ func (s *ServerShard) Reset(initialLoads []int32) error {
 }
 
 // Decide applies the variant's threshold rule to the shard's slice of
-// one round's batch: touched must lie inside the window, sorted
-// ascending without duplicates, counts parallel to it. Accepted and
+// one round's batch: touched must lie inside the window, strictly
+// ascending, with counts parallel to it and positive. The whole slice is
+// checked before any state changes, so a batch that breaks the contract
+// returns an error and leaves the shard exactly as it was. Accepted and
 // newly-burned servers are appended to the provided slices (preserving
 // input order) and returned with the saturation count.
 func (s *ServerShard) Decide(touched, counts []int32, accepted, newlyBurned []int32) (acc, nb []int32, saturated int, err error) {
-	if len(touched) != len(counts) {
-		return accepted, newlyBurned, 0, fmt.Errorf("core: shard decide with %d touched but %d counts", len(touched), len(counts))
+	if err := s.check(touched, counts); err != nil {
+		return accepted, newlyBurned, 0, err
 	}
+	acc, nb, saturated = s.apply(touched, counts, accepted, newlyBurned)
+	return acc, nb, saturated, nil
+}
+
+// check validates a batch slice against the shard without changing any
+// state: equal lengths, every server inside the window, every count
+// positive, servers strictly ascending (which also rules out
+// duplicates).
+func (s *ServerShard) check(touched, counts []int32) error {
+	if len(touched) != len(counts) {
+		return fmt.Errorf("core: shard decide with %d touched but %d counts", len(touched), len(counts))
+	}
+	prev := int32(-1)
 	for i, u := range touched {
 		if int(u) < s.lo || int(u) >= s.hi {
-			return accepted, newlyBurned, saturated, fmt.Errorf("core: server %d outside shard window [%d, %d)", u, s.lo, s.hi)
+			return fmt.Errorf("core: server %d outside shard window [%d, %d)", u, s.lo, s.hi)
 		}
+		if u <= prev {
+			return fmt.Errorf("core: server %d after server %d: batch not strictly ascending", u, prev)
+		}
+		if counts[i] <= 0 {
+			return fmt.Errorf("core: server %d touched with count %d", u, counts[i])
+		}
+		prev = u
+	}
+	return nil
+}
+
+// apply runs the threshold rule over a batch slice that check accepted.
+func (s *ServerShard) apply(touched, counts []int32, accepted, newlyBurned []int32) (acc, nb []int32, saturated int) {
+	for i, u := range touched {
 		recv := counts[i]
-		if recv <= 0 {
-			return accepted, newlyBurned, saturated, fmt.Errorf("core: server %d touched with count %d", u, recv)
-		}
 		j := int(u) - s.lo
 		s.receivedTotal[j] += recv
 		switch s.variant {
@@ -175,7 +199,7 @@ func (s *ServerShard) Decide(touched, counts []int32, accepted, newlyBurned []in
 			accepted = append(accepted, u)
 		}
 	}
-	return accepted, newlyBurned, saturated, nil
+	return accepted, newlyBurned, saturated
 }
 
 // Loads returns the shard's accepted load window (aliasing; read-only).
@@ -193,6 +217,7 @@ type LocalBank struct {
 	shards []*ServerShard
 	m      int
 	loads  []int32
+	ends   []int // DecideRound scratch: where each shard's batch slice ends
 }
 
 // NewLocalBank returns an in-process bank of `shards` contiguous server
@@ -246,18 +271,19 @@ func (b *LocalBank) Reset(initialLoads []int) error {
 	return nil
 }
 
-// DecideRound splits the sorted batch across the shard windows and
-// applies each shard's rule. Shard windows are contiguous ascending
-// ranges, so concatenating the per-shard outputs in shard order keeps
-// the decision lists sorted.
+// DecideRound splits the batch across the shard windows, checks every
+// shard's slice, and only then applies each shard's rule, so a rejected
+// batch leaves every shard unchanged. Shard windows are contiguous
+// ascending ranges, so the per-shard checks together prove the whole
+// batch strictly ascending (a descent cannot straddle a split point),
+// and concatenating the per-shard outputs in shard order keeps the
+// decision lists sorted.
 func (b *LocalBank) DecideRound(touched, counts []int32) (RoundDecision, error) {
 	var dec RoundDecision
 	if len(touched) != len(counts) {
 		return dec, fmt.Errorf("core: round batch with %d touched but %d counts", len(touched), len(counts))
 	}
-	if !sort.SliceIsSorted(touched, func(i, j int) bool { return touched[i] < touched[j] }) {
-		return dec, fmt.Errorf("core: round batch not sorted")
-	}
+	b.ends = b.ends[:0]
 	from := 0
 	for _, sh := range b.shards {
 		_, hi := sh.Window()
@@ -265,21 +291,22 @@ func (b *LocalBank) DecideRound(touched, counts []int32) (RoundDecision, error) 
 		for to < len(touched) && int(touched[to]) < hi {
 			to++
 		}
-		if to == from {
-			continue
+		if err := sh.check(touched[from:to], counts[from:to]); err != nil {
+			return dec, err
 		}
-		var err error
-		dec.Accepted, dec.NewlyBurned, dec.Saturated, err = func() ([]int32, []int32, int, error) {
-			acc, nb, sat, err := sh.Decide(touched[from:to], counts[from:to], dec.Accepted, dec.NewlyBurned)
-			return acc, nb, dec.Saturated + sat, err
-		}()
-		if err != nil {
-			return RoundDecision{}, err
-		}
+		b.ends = append(b.ends, to)
 		from = to
 	}
 	if from != len(touched) {
-		return RoundDecision{}, fmt.Errorf("core: server %d outside every shard window", touched[from])
+		return dec, fmt.Errorf("core: server %d outside every shard window", touched[from])
+	}
+	from = 0
+	for k, sh := range b.shards {
+		to := b.ends[k]
+		var sat int
+		dec.Accepted, dec.NewlyBurned, sat = sh.apply(touched[from:to], counts[from:to], dec.Accepted, dec.NewlyBurned)
+		dec.Saturated += sat
+		from = to
 	}
 	return dec, nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/bipartite"
 	"repro/internal/engine"
@@ -25,11 +24,12 @@ import (
 // scheduler walks disjoint chunks of the frontier (each client drawing
 // from its private stream, so the draws are worker-count-independent),
 // destinations are bucketed into per-(worker, server-shard) route lanes,
-// and the per-shard folds produce sorted window-local touched lists
-// whose shard-order concatenation is the globally sorted batch — no
-// global sort, and bit-for-bit the single-threaded Driver's batch for
-// every worker count and steal schedule. The bank sees exactly the same
-// bytes either way; only the wall-clock changes.
+// and the per-shard folds emit ascending window-local touched lists from
+// their occupancy bitmaps, whose shard-order concatenation is the
+// globally sorted batch — no sort at all, and bit-for-bit the
+// single-threaded Driver's batch for every worker count and steal
+// schedule. The bank sees exactly the same bytes either way; only the
+// wall-clock changes.
 type Driver struct {
 	topo bipartite.Topology
 	cfg  Config
@@ -58,7 +58,7 @@ type Driver struct {
 
 	touched      []int32
 	countsArg    []int32
-	shardTouched [][]int32 // per-shard sorted touched lists of the current round
+	shardTouched [][]int32 // per-shard ascending touched lists of the current round
 
 	// acceptedRound[u] == round ⇔ server u accepted this round (from the
 	// bank's decision); burned mirrors the bank's burned flags so the
@@ -353,18 +353,17 @@ func (dr *Driver) phaseClients() int64 {
 }
 
 // decideRound folds the route lanes shard by shard (each fold owned by
-// one goroutine, each shard's touched list sorted window-locally),
-// concatenates the per-shard lists in shard order — contiguous ascending
-// windows, so the result is the globally sorted batch — and ships it to
-// the bank. Decision stamps are applied to the accepted/burned state.
+// one goroutine and returning its window's touched servers in ascending
+// order), concatenates the per-shard lists in shard order — contiguous
+// ascending windows, so the result is the globally sorted batch the bank
+// requires — and ships it to the bank. Decision stamps are applied to
+// the accepted/burned state.
 func (dr *Driver) decideRound(round int32) (RoundDecision, error) {
 	sp := telemetry.StartSpan(dr.tel.foldHist())
 	shards := dr.router.Shards()
 	dr.pool.StealRangeGrain(shards, 1, func(_, _, lo, hi int) {
 		for s := lo; s < hi; s++ {
-			t := dr.router.FoldShard(s, dr.tally)
-			slices.Sort(t)
-			dr.shardTouched[s] = t
+			dr.shardTouched[s] = dr.router.FoldShard(s, dr.tally)
 		}
 	})
 	dr.touched = dr.touched[:0]

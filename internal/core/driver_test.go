@@ -160,30 +160,3 @@ func TestDriverReseedReuse(t *testing.T) {
 		}
 	}
 }
-
-// TestLocalBankRejectsMalformedBatches pins the bank's input contract —
-// the wire server relies on the same checks to reject corrupt frames.
-func TestLocalBankRejectsMalformedBatches(t *testing.T) {
-	bank, err := NewLocalBank(SAER, 8, 10, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bank.Reset(nil); err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name    string
-		touched []int32
-		counts  []int32
-	}{
-		{"length mismatch", []int32{1, 2}, []int32{1}},
-		{"unsorted", []int32{2, 1}, []int32{1, 1}},
-		{"out of range", []int32{3, 99}, []int32{1, 1}},
-		{"non-positive count", []int32{4}, []int32{0}},
-	}
-	for _, tc := range cases {
-		if _, err := bank.DecideRound(tc.touched, tc.counts); err == nil {
-			t.Errorf("%s: DecideRound accepted a malformed batch", tc.name)
-		}
-	}
-}

@@ -836,12 +836,13 @@ func (r *Runner) serverStep(u, recv int32) (newlyBurned, saturated bool) {
 // all m servers; the routed path (dense and sparse rounds alike) has each
 // shard owner fold its route lanes into the stamped merged counts (writes
 // confined to the shard's contiguous server window) and step exactly the
-// servers the fold touched; the unrouted sparse path visits only the
-// touched-server list produced by the sparse tally merge. Iteration order
-// differs across those paths and across worker/shard counts and steal
-// schedules, but it never leaks into results: each server's update
-// depends only on its own state, and the per-worker burned/saturated
-// tallies are order-independent sums.
+// servers the fold touched, in the ascending order the fold emits them —
+// the same ordered fold that builds the Driver's bank batch; the unrouted
+// sparse path visits only the touched-server list produced by the sparse
+// tally merge. Iteration order differs across those paths and across
+// worker/shard counts and steal schedules, but it never leaks into
+// results: each server's update depends only on its own state, and the
+// per-worker burned/saturated tallies are order-independent sums.
 func (r *Runner) phaseServers(touched []int32) (newlyBurned, saturated int) {
 	for w := range r.partialBurned {
 		r.partialBurned[w] = 0

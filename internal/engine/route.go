@@ -25,9 +25,12 @@ import "math/bits"
 //
 // Determinism: a shard's fold visits lanes in (worker, append) order,
 // which varies with the worker count — but a fold only produces per-cell
-// sums and a duplicate-free touched set, both order-independent, so
-// simulation results stay bit-for-bit identical across worker AND shard
-// counts. The equivalence tests in internal/core sweep both.
+// sums and a touched set, and it emits the set in ascending cell order
+// from an occupancy bitmap (the SPA's occupancy bits beside the
+// accumulator), so its output is independent of the worker count, the
+// shard count and the order the lanes were filled in. Simulation results
+// stay bit-for-bit identical across worker AND shard counts; the
+// equivalence tests in internal/core sweep both.
 type Router struct {
 	workers int
 	shards  int
@@ -35,9 +38,17 @@ type Router struct {
 	// lanes[w*shards+s] holds the cells worker w routed to shard s this
 	// round. Truncated (capacity kept) by ResetLanes.
 	lanes [][]int32
-	// touched[s] is the duplicate-free list of cells shard s's last fold
+	// touched[s] is the ascending list of cells shard s's last fold
 	// incremented — reused across rounds for its capacity.
 	touched [][]int32
+	// occ is the occupancy bitmap the folds mark first touches in: cell
+	// i is bit i&(1<<wshift-1) of word i>>wshift, with wshift =
+	// min(shift, 6). A shard owns 2^(shift-wshift) whole words — one
+	// word when it is narrower than 64 cells — so concurrent shard
+	// owners never write the same word. FoldShard clears every word it
+	// reads while emitting, so the bitmap is all zero between folds.
+	occ    []uint64
+	wshift uint
 	// topoVersion is the topology version the lanes were last synced to
 	// (see bipartite.Versioned and SyncTopologyVersion). Static
 	// topologies leave it zero.
@@ -65,12 +76,15 @@ func NewRouter(workers, targetShards, size int) *Router {
 	if shards < 1 {
 		shards = 1
 	}
+	wshift := min(shift, 6)
 	return &Router{
 		workers: workers,
 		shards:  shards,
 		shift:   shift,
 		lanes:   make([][]int32, workers*shards),
 		touched: make([][]int32, shards),
+		occ:     make([]uint64, shards<<(shift-wshift)),
+		wshift:  wshift,
 	}
 }
 
@@ -101,26 +115,49 @@ func (rt *Router) ResetLanes() {
 }
 
 // FoldShard folds every worker's lane of shard s into the stamped tally's
-// merged view and returns the shard's duplicate-free touched list (cells
-// first stamped this epoch). The tally must be in stamped mode
-// (Tally.BeginStamped): a first touch is detected by the cell's merged
-// stamp differing from the current epoch, so the shard's counts may hold
-// arbitrary stale values — no zeroing pass ever precedes a fold, and the
-// round-end reset is the O(1) Tally.StampedReset. Shard owners call
+// merged view and returns the shard's touched list: the cells first
+// stamped this epoch, strictly ascending. The tally must be in stamped
+// mode (Tally.BeginStamped): a first touch is detected by the cell's
+// merged stamp differing from the current epoch, so the shard's counts
+// may hold arbitrary stale values — no zeroing pass ever precedes a fold,
+// and the round-end reset is the O(1) Tally.StampedReset. A first touch
+// also sets the cell's occupancy bit; the list is then read off the
+// shard's occupancy words in order, clearing each word as it is read, so
+// the fold costs O(routed + touched + width/64) with no comparison sort
+// and leaves the bitmap clean. The per-event update is branch-free (the
+// stamp test selects the count and the bit through conditional moves):
+// about 4 in 10 of a dense round's events are first touches, so a branch
+// on it mispredicts. Because shard windows ascend, the shard-order
+// concatenation of the lists is globally ascending. Shard owners call
 // FoldShard for distinct s concurrently: a cell belongs to exactly one
-// shard, so each (count, stamp) pair is written by exactly one goroutine.
+// shard and a shard to whole occupancy words, so each (count, stamp)
+// pair and each word is written by exactly one goroutine.
 func (rt *Router) FoldShard(s int, t *Tally) []int32 {
-	touched := rt.touched[s][:0]
 	counts, stamps, epoch := t.merged, t.mergedStamp, t.epoch
+	occ, wshift := rt.occ, rt.wshift
+	wmask := uint32(1)<<wshift - 1
 	for w := 0; w < rt.workers; w++ {
 		for _, i := range rt.lanes[w*rt.shards+s] {
-			if stamps[i] == epoch {
-				counts[i]++
-			} else {
-				stamps[i] = epoch
-				counts[i] = 1
-				touched = append(touched, i)
+			c, first := counts[i]+1, uint64(0)
+			if stamps[i] != epoch {
+				c, first = 1, 1
 			}
+			counts[i] = c
+			stamps[i] = epoch
+			occ[i>>wshift] |= first << (uint32(i) & wmask)
+		}
+	}
+	touched := rt.touched[s][:0]
+	per := 1 << (rt.shift - wshift)
+	words := occ[s*per : (s+1)*per]
+	for k, b := range words {
+		if b == 0 {
+			continue
+		}
+		words[k] = 0
+		base := int32(s*per+k) << wshift
+		for ; b != 0; b &= b - 1 {
+			touched = append(touched, base+int32(bits.TrailingZeros64(b)))
 		}
 	}
 	rt.touched[s] = touched

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -43,6 +44,25 @@ func stampedTally(size int) *Tally {
 	return ta
 }
 
+// wantTouched is the ordered-fold contract for shard s: the cells of its
+// window whose reference count is nonzero, strictly ascending.
+func wantTouched(rt *Router, s int, ref []int32) []int32 {
+	var want []int32
+	for i := s << rt.Shift(); i < (s+1)<<rt.Shift() && i < len(ref); i++ {
+		if ref[i] > 0 {
+			want = append(want, int32(i))
+		}
+	}
+	return want
+}
+
+func checkOrderedFold(t *testing.T, rt *Router, s int, touched, ref []int32) {
+	t.Helper()
+	if want := wantTouched(rt, s, ref); !slices.Equal(touched, want) {
+		t.Fatalf("shard %d: touched %v, want the ascending nonzero cells %v", s, touched, want)
+	}
+}
+
 // TestRouterFoldMatchesDense drives random routed rounds through
 // FoldShard on a stamped tally and checks counts and touched lists
 // against a plain dense accumulation. Between rounds only StampedReset
@@ -69,6 +89,7 @@ func TestRouterFoldMatchesDense(t *testing.T) {
 		var touchedTotal int
 		for s := 0; s < rt.Shards(); s++ {
 			touched := rt.FoldShard(s, ta)
+			checkOrderedFold(t, rt, s, touched, ref)
 			touchedTotal += len(touched)
 			seen := make(map[int32]bool, len(touched))
 			for _, i := range touched {
@@ -152,8 +173,9 @@ func TestQuickRouterInvariance(t *testing.T) {
 			s := int(adds[k]) >> rt.Shift()
 			lanes[s] = append(lanes[s], adds[k])
 		}
+		lists := make([][]int32, rt.Shards())
 		for s := 0; s < rt.Shards(); s++ {
-			rt.FoldShard(s, ta)
+			lists[s] = rt.FoldShard(s, ta)
 		}
 		ref := denseReference(size, adds)
 		for i := range ref {
@@ -161,9 +183,125 @@ func TestQuickRouterInvariance(t *testing.T) {
 				return false
 			}
 		}
+		for s, l := range lists {
+			if !slices.Equal(l, wantTouched(rt, s, ref)) {
+				return false
+			}
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRouterFoldOrderedNarrowShards covers shard widths below one
+// occupancy word (1 to 32 cells, so every shard owns a word it only
+// partly uses) and a last shard cut short by the size, over several
+// rounds on one Router: the lists stay ascending and exact, and the
+// bitmap is clean after every round.
+func TestRouterFoldOrderedNarrowShards(t *testing.T) {
+	for _, g := range []struct{ workers, target, size int }{
+		{3, 9, 100}, {2, 100, 100}, {1, 7, 7}, {4, 5, 201}, {2, 3, 130},
+	} {
+		rt := NewRouter(g.workers, g.target, g.size)
+		if w := 1 << rt.Shift(); w >= 64 {
+			t.Fatalf("%+v: shard width %d, want below 64", g, w)
+		}
+		ta := stampedTally(g.size)
+		src := rng.New(uint64(g.size))
+		for round := 0; round < 4; round++ {
+			rt.ResetLanes()
+			adds := make([]int32, src.Intn(3*g.size))
+			for k := range adds {
+				adds[k] = int32(src.Intn(g.size))
+				lanes := rt.Lanes(k % g.workers)
+				lanes[rt.ShardOf(adds[k])] = append(lanes[rt.ShardOf(adds[k])], adds[k])
+			}
+			ref := denseReference(g.size, adds)
+			for s := 0; s < rt.Shards(); s++ {
+				checkOrderedFold(t, rt, s, rt.FoldShard(s, ta), ref)
+			}
+			for k, w := range rt.occ {
+				if w != 0 {
+					t.Fatalf("%+v round %d: occupancy word %d = %#x after the folds", g, round, k, w)
+				}
+			}
+			ta.StampedReset()
+		}
+	}
+}
+
+// TestRouterFoldCleanAfterDiscard abandons a round halfway — some shards
+// folded, the rest still holding lanes — then runs the early-exit reset
+// (Discard + FullReset). The next round's folds must see a clean bitmap:
+// exactly the new round's cells, ascending, with nothing left over from
+// the abandoned one.
+func TestRouterFoldCleanAfterDiscard(t *testing.T) {
+	const size = 300
+	rt := NewRouter(2, 4, size)
+	ta := stampedTally(size)
+	pool := NewPool(2)
+	src := rng.New(11)
+	route := func(n int) []int32 {
+		rt.ResetLanes()
+		adds := make([]int32, n)
+		for k := range adds {
+			adds[k] = int32(src.Intn(size))
+			lanes := rt.Lanes(k % 2)
+			lanes[rt.ShardOf(adds[k])] = append(lanes[rt.ShardOf(adds[k])], adds[k])
+		}
+		return adds
+	}
+	route(400)
+	for s := 0; s < rt.Shards()/2; s++ {
+		rt.FoldShard(s, ta)
+	}
+	ta.FullReset(pool)
+	rt.Discard()
+	for k, w := range rt.occ {
+		if w != 0 {
+			t.Fatalf("occupancy word %d = %#x after Discard + FullReset", k, w)
+		}
+	}
+	ref := denseReference(size, route(50))
+	for s := 0; s < rt.Shards(); s++ {
+		checkOrderedFold(t, rt, s, rt.FoldShard(s, ta), ref)
+	}
+	for i := int32(0); i < size; i++ {
+		if got := ta.ReceivedAt(i); got != ref[i] {
+			t.Fatalf("ReceivedAt(%d) = %d, want %d", i, got, ref[i])
+		}
+	}
+}
+
+// BenchmarkFoldShard times one shard fold of a 2^16-cell shard at two
+// densities: round1 routes about 2·width events (touched ≈ 0.86·width,
+// the first dense round's shape) and tail routes width/1024 (touched ≪
+// width/64, a late sparse round, where the O(width/64) word walk
+// dominates). ns/cell is per routed cell.
+func BenchmarkFoldShard(b *testing.B) {
+	const width = 1 << 16
+	for _, bc := range []struct {
+		name   string
+		events int
+	}{{"round1", 2 * width}, {"tail", width / 1024}} {
+		b.Run(bc.name, func(b *testing.B) {
+			rt := NewRouter(2, 1, width)
+			ta := stampedTally(width)
+			src := rng.New(5)
+			for k := 0; k < bc.events; k++ {
+				lanes := rt.Lanes(k % 2)
+				lanes[0] = append(lanes[0], int32(src.Intn(width)))
+			}
+			var touched int
+			b.ResetTimer()
+			for it := 0; it < b.N; it++ {
+				ta.StampedReset()
+				touched = len(rt.FoldShard(0, ta))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(bc.events), "ns/cell")
+			b.ReportMetric(float64(touched), "touched")
+		})
 	}
 }
